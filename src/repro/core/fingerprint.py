@@ -77,8 +77,8 @@ _MARGIN_SLACK_ABS = 1e-9
 def merge_cache_default() -> bool:
     """Whether networks build a merge cache by default.
 
-    On unless ``REPRO_MERGE_CACHE`` is set to ``0``/``false``/``no``/``off``
-    (mirroring ``REPRO_PACKED``).  The determinism gate flips this to pin
+    On unless ``REPRO_MERGE_CACHE`` is set to ``0``/``false``/``no``/``off``.
+    The determinism gate flips this to pin
     cache-on traces against the cache-off reference.
     """
     return os.environ.get("REPRO_MERGE_CACHE", "1").strip().lower() not in {
@@ -142,7 +142,7 @@ class CachedReceive:
 
     ``summaries`` are the immutable summary objects of the resulting
     collections (shared freely — nothing in the pipeline mutates a
-    summary), or ``None`` when the producer ran the native tier and
+    summary), or ``None`` when the producer ran the packed path and
     never built them (consumers then unpack from ``columns`` on
     demand); ``columns`` are the producing node's packed column arrays
     for the same rows, or ``None`` when the producer ran the object path.
@@ -447,7 +447,7 @@ class MergeCache:
     ) -> Optional[IdentityCertificate]:
         """An already-built certificate, or ``None`` — never builds one.
 
-        The native receive tier probes with this first so it only
+        The packed receive path probes with this first so it only
         unpacks summary objects (the build inputs) on an actual miss.
         """
         certificate = self._certificates.get(locations)

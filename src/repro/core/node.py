@@ -17,12 +17,26 @@ delivery live in :mod:`repro.network` and :mod:`repro.protocols`.  This
 separation lets the same node run under round-based gossip (the paper's
 simulation methodology) and fully asynchronous event-driven executions (the
 setting of the convergence proof).
+
+Each node runs one of two receive paths, fixed at construction by what
+the node is given:
+
+- the *packed* path (:meth:`ClassifierNode.receive_packed`), taken when
+  the scheme declares ``supports_packed`` and ``supports_fingerprints``
+  and neither ``track_aux`` nor ``validate`` is set.  A
+  :class:`~repro.core.packed.PackedState` is authoritative and the
+  collection list is only a lazily rebuilt cache; plain collection lists
+  handed to such a node are packed on entry.
+- the *object* path, the conformance reference, for everything else
+  (aux tracking, partition validation, schemes without packed entry
+  points).  It never holds a ``PackedState``.
+
+Both paths are byte-identical in state, counters and emitted events.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -40,27 +54,11 @@ from repro.core.mixture import MixtureVector
 from repro.core.packed import PackedPayload, PackedState
 from repro.core.scheme import SummaryScheme, validate_partition
 from repro.core.weights import Quantization
-from repro.native import native_enabled
 from repro.obs.context import current_sink
 from repro.obs.events import Event, EventSink
 from repro.obs.profiling import current_registry, span
 
-__all__ = ["ClassifierNode", "NodeStats", "packed_default"]
-
-
-def packed_default() -> bool:
-    """Whether nodes run the packed (array-native) hot path by default.
-
-    On unless ``REPRO_PACKED`` is set to ``0``/``false``/``no``/``off``.
-    The parity suite flips this to pin the packed path against the
-    object-path conformance reference.
-    """
-    return os.environ.get("REPRO_PACKED", "1").strip().lower() not in {
-        "0",
-        "false",
-        "no",
-        "off",
-    }
+__all__ = ["ClassifierNode", "NodeStats"]
 
 
 @dataclass(slots=True)
@@ -123,15 +121,8 @@ class ClassifierNode:
     validate:
         When true, every partition returned by the scheme is checked
         against Algorithm 1's structural rules.  On by default in tests,
-        off in large benchmarks.
-    packed:
-        When true and the scheme declares ``supports_packed``, the node
-        carries a structure-of-arrays :class:`~repro.core.packed.PackedState`
-        alongside its collection list and routes ``partition`` / ``merge_set``
-        through the scheme's array-native entry points.  ``None`` (the
-        default) defers to :func:`packed_default` (the ``REPRO_PACKED``
-        environment variable).  Classifications are byte-identical either
-        way; see ``docs/performance.md``.
+        off in large benchmarks.  Validation needs real collection
+        objects, so it also selects the object receive path.
     event_sink:
         Destination for this node's ``split``/``merge``
         :class:`~repro.obs.events.Event` records; defaults to the
@@ -156,7 +147,6 @@ class ClassifierNode:
         track_aux: bool = False,
         n_inputs: Optional[int] = None,
         validate: bool = False,
-        packed: Optional[bool] = None,
         event_sink: Optional[EventSink] = None,
         merge_cache: Optional[MergeCache] = None,
     ) -> None:
@@ -169,26 +159,22 @@ class ClassifierNode:
         self.validate = validate
         self.stats = NodeStats()
         self.event_sink = event_sink if event_sink is not None else current_sink()
-        if packed is None:
-            packed = packed_default()
-        self.packed = bool(packed) and scheme.supports_packed
         self.merge_cache = (
             merge_cache if scheme.supports_fingerprints else None
         )
         self._track_aux = bool(track_aux)
-        # The native tier: packed state is *authoritative* and messages
+        # The packed path: packed state is *authoritative* and messages
         # are zero-copy PackedPayload views; collection objects are
         # materialised lazily, only when observation code asks.  Requires
         # the packed entry points plus content digests, and is disabled
         # under aux tracking / validation (both need real objects in the
         # pipeline).  Byte-parity with the object path is pinned by the
-        # native parity suite; REPRO_NATIVE=0 turns the tier off.
+        # native parity suite.
         self.native = (
-            self.packed
+            scheme.supports_packed
             and scheme.supports_fingerprints
             and not self._track_aux
             and not validate
-            and native_enabled()
         )
         # Content-address caches: per-collection digests plus the two
         # derived fingerprints, all lazy and invalidated on state change.
@@ -206,11 +192,11 @@ class ClassifierNode:
             quanta=self.quantization.unit,
             aux=aux,
         )
-        # In native mode the packed state is authoritative and this list
-        # may be None (stale) until an observer materialises it.
+        # On the packed path the packed state is authoritative and this
+        # list may be None (stale) until an observer materialises it.
         self._collections: Optional[list[Collection]] = [initial]
         self._packed: Optional[PackedState] = (
-            self._pack(self._collections) if self.packed else None
+            self._pack(self._collections) if self.native else None
         )
 
     def _pack(self, collections: Sequence[Collection]) -> PackedState:
@@ -228,7 +214,7 @@ class ClassifierNode:
     def _materialize(self) -> list[Collection]:
         """The collection list, rebuilt from packed rows when stale.
 
-        The native tier keeps only the packed state current through the
+        The packed path keeps only the packed state current through the
         hot loop; summary objects are reconstructed here — with the same
         bytes (``unpack_summary`` inverts ``pack_summaries`` exactly) —
         the first time an observer needs them.
@@ -346,7 +332,7 @@ class ClassifierNode:
         The returned sequence is the message payload for one neighbour.
         It may be empty when every local collection holds a single quantum
         (then nothing can be sent without violating quantisation); callers
-        should skip transmission in that case.  On the native tier the
+        should skip transmission in that case.  On the packed path the
         payload is a :class:`~repro.core.packed.PackedPayload` — column
         views shared with the local packed state, no objects built — which
         still quacks like the historical collection list.
@@ -362,14 +348,6 @@ class ClassifierNode:
             if sent_share is not None:
                 sent.append(sent_share)
         self._collections = kept
-        if self._packed is not None:
-            # Splitting halves weights but leaves summaries untouched, so
-            # only the quanta column changes: kept = q - q // 2 (identity
-            # at one quantum, matching Collection.split).
-            quanta = self._packed.quanta
-            self._packed = PackedState(
-                quanta=quanta - quanta // 2, columns=self._packed.columns
-            )
         self.stats.splits += 1
         # Splitting changes quanta only: per-collection digests and the
         # summary fingerprint survive, the state fingerprint does not.
@@ -381,7 +359,7 @@ class ClassifierNode:
         return sent
 
     def _make_message_packed(self) -> PackedPayload:
-        """Native split: quanta arithmetic only, column arrays shared.
+        """Packed split: quanta arithmetic only, column arrays shared.
 
         ``Collection.split`` keeps ``q - q // 2`` and sends ``q // 2``
         (nothing at one quantum); the same arithmetic runs here on the
@@ -452,16 +430,15 @@ class ClassifierNode:
         for the entire set" (Section 5.3), and batching is also how the
         asynchronous handler processes one message at a time.
 
-        A native-tier node accepts a :class:`~repro.core.packed.PackedPayload`
-        directly (no materialisation); plain collection lists run the
-        object pipeline, preserving its exact object-identity behaviour
-        (singleton groups adopt the incoming objects as-is).
+        A packed-path node hands ``incoming`` (a
+        :class:`~repro.core.packed.PackedPayload` or a plain collection
+        list, which is packed first) to :meth:`receive_packed`.  Object-path
+        nodes run the object pipeline, which adopts singleton groups'
+        incoming objects as-is.
         """
         if self.native:
-            if isinstance(incoming, PackedPayload):
-                self.receive_packed((incoming,))
-                return
-            self._materialize()
+            self.receive_packed((incoming,))
+            return
         self.stats.batches_received += 1
         self.stats.collections_received += len(incoming)
         if not incoming:
@@ -482,7 +459,7 @@ class ClassifierNode:
             local_digests = self._ensure_digests()
         assert self._collections is not None
         big_set = self._collections + list(incoming)
-        if self._try_fastpath(big_set, incoming):
+        if self._try_fastpath(big_set):
             if local_digests is not None and incoming_digests is not None:
                 self._set_digests(local_digests + incoming_digests)
             else:
@@ -519,30 +496,16 @@ class ClassifierNode:
                 return
             if self._try_certified_noop(incoming, local_digests, incoming_digests):
                 return
-        # The pooled packed state is only needed from here on — building
-        # it above would waste the work on every cache-served receipt.
-        packed_set: Optional[PackedState] = None
-        if self._packed is not None:
-            packed_set = PackedState.concat(self._packed, self._pack(incoming))
-        if packed_set is not None:
-            groups = self.scheme.partition_packed(packed_set, self.k, self.quantization)
-        else:
-            groups = self.scheme.partition(big_set, self.k, self.quantization)
+        groups = self.scheme.partition(big_set, self.k, self.quantization)
         self.stats.partition_calls += 1
         if self.validate:
             validate_partition(groups, big_set, self.k, self.quantization)
-        self._collections = [
-            self._merge_group(big_set, packed_set, group) for group in groups
-        ]
-        if self.packed:
-            self._packed = self._pack(self._collections)
+        self._collections = [self._merge_group(big_set, group) for group in groups]
         if key is not None:
             assert cache is not None
             summary_digest = self.scheme.summary_digest
             out_digests = [summary_digest(c.summary) for c in self._collections]
             self._set_digests(out_digests)
-            if self._packed is not None:
-                self._packed.row_digests = tuple(out_digests)
             cache.store(
                 key,
                 CachedReceive(
@@ -550,11 +513,7 @@ class ClassifierNode:
                     digests=tuple(out_digests),
                     quanta=tuple(c.quanta for c in self._collections),
                     group_sizes=tuple(len(group) for group in groups),
-                    columns=(
-                        dict(self._packed.columns)
-                        if self._packed is not None
-                        else None
-                    ),
+                    columns=None,
                 ),
             )
             self.stats.cache_misses += 1
@@ -563,6 +522,35 @@ class ClassifierNode:
         else:
             self._set_digests(None)
 
+    def _as_payload(
+        self, incoming: "Sequence[Collection] | PackedPayload"
+    ) -> PackedPayload:
+        """``incoming`` as a packed payload, packing a plain collection list.
+
+        Collections keep their digest stamps as the payload's row digests
+        when every one carries a stamp; otherwise the packed pipeline
+        hashes the rows itself, exactly when it needs them.
+        """
+        if isinstance(incoming, PackedPayload):
+            return incoming
+        collections = list(incoming)
+        if collections:
+            columns = self.scheme.pack_summaries([c.summary for c in collections])
+        else:
+            assert self._packed is not None
+            columns = {name: col[:0] for name, col in self._packed.columns.items()}
+        digests = [collection.digest for collection in collections]
+        return PackedPayload(
+            scheme=self.scheme,
+            quanta=np.fromiter(
+                (collection.quanta for collection in collections),
+                dtype=np.int64,
+                count=len(collections),
+            ),
+            columns=columns,
+            row_digests=None if None in digests else tuple(digests),  # type: ignore[arg-type]
+        )
+
     def _adopt_native(self, digests: Optional[Sequence[bytes]]) -> None:
         """Post-receive bookkeeping once ``_packed`` holds the new state."""
         self._collections = None
@@ -570,17 +558,21 @@ class ClassifierNode:
         self._summary_fp = None
         self._state_fp = None
 
-    def receive_packed(self, payloads: Sequence[PackedPayload]) -> None:
-        """Native-tier receive: the full pipeline on column arrays.
+    def receive_packed(
+        self, payloads: "Sequence[PackedPayload | Sequence[Collection]]"
+    ) -> None:
+        """Packed-path receive: the full pipeline on column arrays.
 
         Mirrors :meth:`receive` decision-for-decision — fast path, memo
         lookup, certified no-op, then partition and merge — but consumes
         the payloads' packed columns directly and assembles the output
         rows with the batched scheme kernels, never constructing a
-        ``Collection`` or summary object.  Stats deltas, emitted events
+        ``Collection`` or summary object.  Plain collection lists among
+        ``payloads`` are packed on entry.  Stats deltas, emitted events
         and the resulting state bytes are identical to the object path
         (the native parity suite pins all three).
         """
+        payloads = [self._as_payload(payload) for payload in payloads]
         stats = self.stats
         stats.batches_received += 1
         total_in = 0
@@ -947,7 +939,7 @@ class ClassifierNode:
         if entry.summaries is not None:
             summaries: Sequence[Any] = entry.summaries
         else:
-            # Stored by a native-tier node that never built the objects;
+            # Stored by a packed-path node that never built the objects;
             # unpack them from the packed columns (byte-equal by contract).
             assert entry.columns is not None
             unpack = self.scheme.unpack_summary
@@ -958,19 +950,6 @@ class ClassifierNode:
             Collection(summary=summary, quanta=quanta)
             for summary, quanta in zip(summaries, entry.quanta)
         ]
-        if self.packed:
-            quanta = np.fromiter(
-                entry.quanta, dtype=np.int64, count=len(entry.quanta)
-            )
-            if entry.columns is not None:
-                # Columns are shared, never mutated in place (splits
-                # rebuild only the quanta vector; receipts re-pack).
-                self._packed = PackedState(
-                    quanta=quanta, columns=entry.columns, row_digests=entry.digests
-                )
-            else:
-                self._packed = self._pack(self._collections)
-                self._packed.row_digests = entry.digests
         self._set_digests(list(entry.digests))
         # Replay the stats/event deltas the uncached pipeline would produce.
         self.stats.partition_calls += 1
@@ -1109,16 +1088,6 @@ class ClassifierNode:
                     Collection(summary=local[index].summary, quanta=totals[index])
                 )
         self._collections = new_collections
-        if self.packed:
-            self._packed = PackedState(
-                quanta=np.fromiter(
-                    (collection.quanta for collection in new_collections),
-                    dtype=np.int64,
-                    count=m,
-                ),
-                columns=certificate.columns_for(order_digests, self.scheme),
-                row_digests=order_digests,
-            )
         self._set_digests(list(order_digests))
         # Replay the stats/event deltas of the pipeline this receipt skipped.
         self.stats.partition_calls += 1
@@ -1150,9 +1119,7 @@ class ClassifierNode:
             )
         return True
 
-    def _try_fastpath(
-        self, big_set: list[Collection], incoming: Sequence[Collection]
-    ) -> bool:
+    def _try_fastpath(self, big_set: list[Collection]) -> bool:
         """Adopt the pooled set unpartitioned when that is provably correct.
 
         When the pooled set has at most ``k`` collections and the scheme
@@ -1174,8 +1141,6 @@ class ClassifierNode:
             groups = [[index] for index in range(size)]
             validate_partition(groups, big_set, self.k, self.quantization)
         self._collections = big_set
-        if self._packed is not None:
-            self._packed = PackedState.concat(self._packed, self._pack(incoming))
         self.stats.fastpath_hits += 1
         registry = current_registry()
         if registry is not None:
@@ -1186,12 +1151,7 @@ class ClassifierNode:
             )
         return True
 
-    def _merge_group(
-        self,
-        big_set: list[Collection],
-        packed_set: Optional[PackedState],
-        group: Sequence[int],
-    ) -> Collection:
+    def _merge_group(self, big_set: list[Collection], group: Sequence[int]) -> Collection:
         """Merge one partition group into a single collection (line 11)."""
         if len(group) == 1:
             # Merging a singleton is the identity under R4; skip the
@@ -1199,12 +1159,9 @@ class ClassifierNode:
             return big_set[group[0]]
         members = [big_set[index] for index in group]
         with span("scheme.merge_set"):
-            if packed_set is not None:
-                summary = self.scheme.merge_set_packed(packed_set, group)
-            else:
-                summary = self.scheme.merge_set(
-                    [(member.summary, float(member.quanta)) for member in members]
-                )
+            summary = self.scheme.merge_set(
+                [(member.summary, float(member.quanta)) for member in members]
+            )
         quanta = sum(member.quanta for member in members)
         aux = None
         if members[0].aux is not None:

@@ -6,16 +6,16 @@ Section 5.3 simulations.  The object representation pays for it twice:
 every ``partition`` call re-stacks numpy arrays out of Python summary
 objects, and every ``merge_set`` call re-reads the same objects per group.
 
-A :class:`PackedState` carries the scheme-relevant arrays *alongside* the
-node's ``Collection`` list — ``quanta`` as one integer vector plus
-scheme-specific columns (for the Gaussian schemes ``mean (l, d)`` and
-``cov (l, d, d)``; for centroids/histograms one ``(l, d)`` position
-matrix).  Nodes keep it in sync incrementally: splits only rescale the
-quanta vector, receipts concatenate the packed increment, merges write
-fresh rows.  Schemes consume it through their array-native entry points
-(``partition_packed`` / ``merge_set_packed``); the object path remains as
-the conformance reference, and the parity suite pins both paths to
-byte-identical classifications.
+A :class:`PackedState` carries the scheme-relevant arrays of a node's
+classification — ``quanta`` as one integer vector plus scheme-specific
+columns (for the Gaussian schemes ``mean (l, d)`` and ``cov (l, d, d)``;
+for centroids/histograms one ``(l, d)`` position matrix).  On a node's
+packed receive path it is the authoritative state and the ``Collection``
+list is only a lazy cache: splits rebuild only the quanta vector,
+receipts assemble fresh rows.  Schemes consume it through their
+array-native entry points (``partition_packed`` / ``merge_set_packed``);
+the object path remains as the conformance reference, and the parity
+suite pins both paths to byte-identical classifications.
 
 Quanta are stored as ``int64``.  That is exact (no float rounding) and
 covers the default lattice (2**40 quanta per unit value) aggregated over
@@ -198,7 +198,7 @@ class PackedState:
 
         The arena engine pools one receiver's local rows with every
         incoming payload slab in a single allocation; pairwise
-        :meth:`concat` would copy the growing prefix once per payload.
+        concatenation would copy the growing prefix once per payload.
         """
         if not states:
             raise ValueError("cannot concatenate zero packed states")
@@ -238,25 +238,6 @@ class PackedState:
             row_digests=digests,
         )
 
-    @staticmethod
-    def concat(first: "PackedState", second: "PackedState") -> "PackedState":
-        """Row-wise concatenation (pooling local state with a receipt)."""
-        if first.columns.keys() != second.columns.keys():
-            raise ValueError(
-                f"packed column mismatch: {sorted(first.columns)} vs {sorted(second.columns)}"
-            )
-        digests = None
-        if first.row_digests is not None and second.row_digests is not None:
-            digests = first.row_digests + second.row_digests
-        return PackedState(
-            quanta=np.concatenate([first.quanta, second.quanta]),
-            columns={
-                name: np.concatenate([first.columns[name], second.columns[name]])
-                for name in first.columns
-            },
-            row_digests=digests,
-        )
-
     def take(self, indices: Sequence[int] | np.ndarray) -> "PackedState":
         """A new packed state holding only the given rows, in order."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -278,7 +259,7 @@ class PackedState:
 class PackedPayload:
     """A zero-copy message payload: column views instead of collections.
 
-    Produced by a native-tier node's ``make_message``: ``columns`` are
+    Produced by a packed-path node's ``make_message``: ``columns`` are
     (typically) the *sender's own* packed column arrays, shared without
     copying — safe because packed columns are never mutated in place
     (splits rebuild only the quanta vector; receipts assemble fresh
@@ -290,7 +271,7 @@ class PackedPayload:
     kernel's ``payload_size`` and "skip empty sends" checks), iteration
     and indexing lazily materialise :class:`~repro.core.collection.Collection`
     objects — the *transport seam*, paid only when a frame codec, a test,
-    or analysis code actually needs objects.  Native receivers never
+    or analysis code actually needs objects.  Packed-path receivers never
     iterate; they consume the arrays directly via ``receive_packed``.
     """
 

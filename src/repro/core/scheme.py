@@ -225,7 +225,7 @@ class SummaryScheme(abc.ABC, Generic[S]):
         Must equal ``summary_digest(unpack_summary(columns, index))``;
         the default computes exactly that.  Schemes override it to hash
         the row's column slices directly, skipping the intermediate
-        summary object on the native receive tier.
+        summary object on the packed receive path.
         """
         return self.summary_digest(self.unpack_summary(columns, index))
     def summary_digest(self, summary: S) -> bytes:

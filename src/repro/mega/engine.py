@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
@@ -159,18 +159,7 @@ class ArenaStats:
     merges: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "receivers": self.receivers,
-            "fastpath_hits": self.fastpath_hits,
-            "memo_round_hits": self.memo_round_hits,
-            "memo_lru_hits": self.memo_lru_hits,
-            "noop_hits": self.noop_hits,
-            "noop_sweep_hits": self.noop_sweep_hits,
-            "full_solves": self.full_solves,
-            "merges": self.merges,
-        }
+        return asdict(self)
 
 
 class _Outcome:

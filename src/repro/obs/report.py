@@ -369,11 +369,11 @@ def _span_section(events: list[dict[str, Any]], top: int) -> str:
 
 
 def _native_section() -> str:
-    """Which receive/merge execution tier this interpreter would run.
+    """The receive/merge kernel tier and the numpy behind it.
 
     Environment-derived (``repro.native.status()``), not trace-derived:
-    the tier that produced a trace is not recorded in it, so the report
-    shows the tier *this* process resolves to — what a rerun would use.
+    there is one tier, the batched numpy kernels, so the section only
+    records which numpy version *this* process would rerun the trace on.
     """
     from repro.native import status
 

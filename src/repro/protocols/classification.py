@@ -43,7 +43,7 @@ class ClassificationProtocol(GossipProtocol):
         """Split the local classification; the sent halves are the payload.
 
         Returns ``None`` when quantisation leaves nothing sendable (every
-        local collection holds a single quantum).  Native-tier nodes
+        local collection holds a single quantum).  Packed-path nodes
         return a zero-copy :class:`~repro.core.packed.PackedPayload`
         instead of a collection list; both are falsy when empty.
         """
@@ -56,19 +56,13 @@ class ClassificationProtocol(GossipProtocol):
     ) -> None:
         """Pool all delivered collections and merge once (Section 5.3)."""
         node = self.node
-        if node.native and all(
-            isinstance(payload, PackedPayload) for payload in payloads
-        ):
-            # Straight through to the array pipeline — the payloads'
-            # columns are consumed as-is, nothing is materialised.
-            with span("protocol.merge"):
-                node.receive_packed(payloads)  # type: ignore[arg-type]
-            return
-        incoming: list[Collection] = []
-        for payload in payloads:
-            incoming.extend(payload)
         with span("protocol.merge"):
-            node.receive(incoming)
+            if node.native:
+                # Straight through to the array pipeline — packed payloads'
+                # columns are consumed as-is, plain lists are packed once.
+                node.receive_packed(payloads)
+            else:
+                node.receive([c for payload in payloads for c in payload])
 
     # Convenience pass-throughs used pervasively by analysis code.
     @property

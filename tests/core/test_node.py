@@ -123,11 +123,21 @@ class TestReceive:
         assert node.stats.collections_received == 2
 
     def test_singleton_groups_reuse_collection_objects(self):
-        """Merging a singleton group is the identity (no new arithmetic)."""
-        node = make_node([0.0, 0.0], k=4)
+        """Merging a singleton group is the identity (no new arithmetic).
+
+        Object identity is an object-path property (``validate=True``);
+        the packed path, which packs incoming lists, keeps the bytes.
+        """
+        node = make_node([0.0, 0.0], k=4, validate=True)
         far = Collection(summary=np.array([100.0, 100.0]), quanta=16)
         node.receive([far])
         assert any(c is far for c in node.classification)
+        packed = make_node([0.0, 0.0], k=4)
+        packed.receive([far])
+        assert any(
+            c.summary.tobytes() == far.summary.tobytes() and c.quanta == far.quanta
+            for c in packed.classification
+        )
 
     def test_aux_merged_by_summation(self):
         node = ClassifierNode(

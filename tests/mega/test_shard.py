@@ -15,10 +15,13 @@ recovery.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.mega import ArenaEngine, ShardedArenaEngine
+from repro.mega.engine import ArenaStats
 from repro.mega.shard import CRASH_FLAG_ENV, CRASH_SHARD_ENV
 from repro.schemes.centroid import CentroidScheme
 from repro.schemes.gm import GaussianMixtureScheme
@@ -101,6 +104,37 @@ def test_sharded_stats_match_single(values):
         assert stats.messages == single.stats.messages
         assert stats.receivers == single.stats.receivers
         engine.collect()
+
+
+def test_sharded_stats_sum_every_worker_field():
+    """``stats`` sums every per-worker counter, the no-op sweep's included.
+
+    Three exact centers run to quiescence so the vectorised certified
+    no-op sweep fires; the aggregate must equal the field-wise sum of the
+    workers' own stats, and the structural counters must match the
+    single-process engine.
+    """
+    centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
+    values = centers[np.random.default_rng(11).integers(0, 3, size=200)]
+    single = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=11, use_cache=True)
+    single.run(100, stop_on_quiescence=True)
+    with ShardedArenaEngine(
+        values, GaussianMixtureScheme(seed=0), 3, seed=11, shards=2, use_cache=True
+    ) as engine:
+        engine.run(100, stop_on_quiescence=True)
+        stats = engine.stats
+        workers = list(engine._shard_stats)
+        engine.collect()
+    summed = {
+        field.name: sum(worker[field.name] for worker in workers)
+        for field in fields(ArenaStats)
+        if field.name not in ("rounds", "messages")
+    }
+    assert summed["noop_sweep_hits"] > 0, "the sweep never fired — the check is vacuous"
+    assert {name: getattr(stats, name) for name in summed} == summed
+    assert stats.as_dict() == {f.name: getattr(stats, f.name) for f in fields(ArenaStats)}
+    for name in ("rounds", "messages", "receivers", "merges"):
+        assert getattr(stats, name) == getattr(single.stats, name), name
 
 
 def test_shard_solver_stats_cover_all_receives(values):

@@ -1,14 +1,13 @@
-"""End-to-end native-tier parity: ``REPRO_NATIVE=1`` vs ``REPRO_NATIVE=0``.
+"""End-to-end receive-path parity: packed path vs object path.
 
-The compiled receive/merge tier (ISSUE 9) is gated by the
-``REPRO_NATIVE`` environment variable, read per node construction.  Its
-contract is byte-parity: for every scheme and both schedulers, a network
-run with the native tier on must produce bit-for-bit the same
-classifications, the same protocol event trace (splits, merges,
-fast-path adoptions, cache hits) and the same per-node counters as the
-fallback object path.  These runs are small (the tier-1 suite runs
-them); the benchmarks and ``tests/mega`` cover the same contract at
-scale.
+A default node runs the packed receive path; ``validate=True`` forces
+the object reference path.  The contract is byte-parity: for every
+scheme and both schedulers, a network run on the packed path must
+produce bit-for-bit the same classifications, the same protocol event
+trace (splits, merges, fast-path adoptions, cache hits) and the same
+per-node counters as the object path.  These runs are small (the
+tier-1 suite runs them); the benchmarks and ``tests/mega`` cover the
+same contract at scale.
 """
 
 from __future__ import annotations
@@ -56,8 +55,7 @@ def _summary_bytes(summary) -> bytes:
     return np.asarray(summary, dtype=float).tobytes()
 
 
-def _run(name: str, engine: str, native: bool, monkeypatch):
-    monkeypatch.setenv("REPRO_NATIVE", "1" if native else "0")
+def _run(name: str, engine: str, native: bool):
     sink = RingBufferSink(capacity=100000)
     kernel, nodes = build_classification_network(
         _values(name),
@@ -67,7 +65,9 @@ def _run(name: str, engine: str, native: bool, monkeypatch):
         seed=11,
         engine=engine,
         event_sink=sink,
+        validate=not native,
     )
+    assert all(node.native is native for node in nodes)
     kernel.run(ROUNDS)
     states = [
         [(c.quanta, _summary_bytes(c.summary)) for c in node.classification]
@@ -84,36 +84,17 @@ def _run(name: str, engine: str, native: bool, monkeypatch):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", SCHEME_NAMES)
-def test_native_and_fallback_runs_are_byte_identical(name, engine, monkeypatch):
-    native = _run(name, engine, native=True, monkeypatch=monkeypatch)
-    fallback = _run(name, engine, native=False, monkeypatch=monkeypatch)
+def test_native_and_fallback_runs_are_byte_identical(name, engine):
+    native = _run(name, engine, native=True)
+    fallback = _run(name, engine, native=False)
     assert native[0] == fallback[0], "classification states diverged"
     assert native[1] == fallback[1], "protocol event traces diverged"
     assert native[2] == fallback[2], "per-node counters diverged"
 
 
-def test_native_toggle_reaches_nodes(monkeypatch):
-    """The env toggle must actually select the tier on supporting nodes."""
-    monkeypatch.setenv("REPRO_NATIVE", "1")
-    _, native_nodes = build_classification_network(
-        _values("gm"), _scheme("gm"), k=3, graph=ring(N), seed=11
-    )
-    monkeypatch.setenv("REPRO_NATIVE", "0")
-    _, fallback_nodes = build_classification_network(
-        _values("gm"), _scheme("gm"), k=3, graph=ring(N), seed=11
-    )
-    assert all(node.native for node in native_nodes)
-    assert not any(node.native for node in fallback_nodes)
-
-
-def test_status_reports_tier(monkeypatch):
+def test_status_reports_tier():
     from repro import native as native_package
 
-    monkeypatch.setenv("REPRO_NATIVE", "1")
-    on = native_package.status()
-    assert on["enabled"] is True
-    assert on["tier"] in ("numba", "fallback")
-    monkeypatch.setenv("REPRO_NATIVE", "0")
-    off = native_package.status()
-    assert off["enabled"] is False
-    assert off["tier"] == "off"
+    status = native_package.status()
+    assert status["tier"] == "numpy"
+    assert status["numpy_version"] == np.__version__

@@ -28,7 +28,9 @@ N = 12
 UNITS = 5
 
 
-def _trace_bytes(path, seed: int, engine: str, variant: str = "push", scheme=None) -> bytes:
+def _trace_bytes(
+    path, seed: int, engine: str, variant: str = "push", scheme=None, validate=False
+) -> bytes:
     rng = np.random.default_rng(7)
     values = rng.normal(0.0, 1.0, size=(N, 2))
     sink = JsonlSink(str(path))
@@ -43,6 +45,7 @@ def _trace_bytes(path, seed: int, engine: str, variant: str = "push", scheme=Non
             failure_model=BernoulliCrashes(0.05, min_survivors=4),
             event_sink=sink,
             engine=engine,
+            validate=validate,
         )
         kernel.run(UNITS)
     finally:
@@ -67,19 +70,19 @@ def test_different_seeds_diverge(tmp_path, engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("scheme_name", ["centroid", "gm"])
-def test_packed_and_object_paths_trace_identically(tmp_path, engine, scheme_name, monkeypatch):
+def test_packed_and_object_paths_trace_identically(tmp_path, engine, scheme_name):
     """The packed hot path is a representation change only: with the same
-    seed, a run on the structure-of-arrays path must reproduce the object
-    path's JSONL trace byte for byte (same events, same order, same
-    payload counts)."""
+    seed, a run on the structure-of-arrays path (default nodes) must
+    reproduce the object path's (``validate=True`` nodes) JSONL trace byte
+    for byte (same events, same order, same payload counts)."""
 
     def make_scheme():
         return CentroidScheme() if scheme_name == "centroid" else GaussianMixtureScheme(seed=0)
 
-    monkeypatch.setenv("REPRO_PACKED", "1")
     packed = _trace_bytes(tmp_path / "packed.jsonl", seed=123, engine=engine, scheme=make_scheme())
-    monkeypatch.setenv("REPRO_PACKED", "0")
-    plain = _trace_bytes(tmp_path / "object.jsonl", seed=123, engine=engine, scheme=make_scheme())
+    plain = _trace_bytes(
+        tmp_path / "object.jsonl", seed=123, engine=engine, scheme=make_scheme(), validate=True
+    )
     assert packed, "run emitted no events — the parity check is vacuous"
     assert packed == plain
 

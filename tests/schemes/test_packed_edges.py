@@ -4,8 +4,9 @@ The zero-copy packed tier moves the receive pipeline onto shared column
 arrays, so its degenerate shapes — everything at one quantum, a single
 allowed collection, nothing delivered — deserve their own pins alongside
 the randomized parity suites.  Each case runs through the public
-``pack_values`` / ``unpack_summary`` seam and the node receive path in
-both representations.
+``pack_values`` / ``unpack_summary`` seam and the node receive path on
+both receive paths: a default node takes the packed path, a
+``validate=True`` node the object path.
 """
 
 from __future__ import annotations
@@ -80,8 +81,14 @@ class TestEmptyIncoming:
     def test_empty_receive_is_a_noop(self, name, packed):
         rng = np.random.default_rng(5)
         node = ClassifierNode(
-            0, _value(name, rng), _scheme(name), k=3, quantization=QUANT, packed=packed
+            0,
+            _value(name, rng),
+            _scheme(name),
+            k=3,
+            quantization=QUANT,
+            validate=not packed,
         )
+        assert node.native is packed
         before = _state(node)
         node.receive([])
         assert _state(node) == before
@@ -89,9 +96,7 @@ class TestEmptyIncoming:
 
     def test_empty_packed_batch_is_a_noop(self):
         rng = np.random.default_rng(6)
-        node = ClassifierNode(
-            0, _value("gm", rng), _scheme("gm"), k=3, quantization=QUANT, packed=True
-        )
+        node = ClassifierNode(0, _value("gm", rng), _scheme("gm"), k=3, quantization=QUANT)
         before = _state(node)
         node.receive_packed([])
         assert _state(node) == before
@@ -106,7 +111,6 @@ class TestEmptyIncoming:
             _scheme("gm"),
             k=3,
             quantization=Quantization(1),
-            packed=True,
         )
         payload = node.make_message()
         assert not payload
@@ -125,7 +129,7 @@ class TestOneQuantumCollections:
         for packed in (True, False):
             scheme = _scheme(name)
             node = ClassifierNode(
-                0, value, scheme, k=3, quantization=QUANT, packed=packed, validate=True
+                0, value, scheme, k=3, quantization=QUANT, validate=not packed
             )
             incoming = [
                 Collection(summary=scheme.val_to_summary(v), quanta=1)
@@ -149,7 +153,7 @@ class TestKEqualsOne:
         for packed in (True, False):
             scheme = _scheme(name)
             node = ClassifierNode(
-                0, value, scheme, k=1, quantization=QUANT, packed=packed, validate=True
+                0, value, scheme, k=1, quantization=QUANT, validate=not packed
             )
             incoming = [
                 Collection(summary=scheme.val_to_summary(v), quanta=int(QUANT.unit))
@@ -167,9 +171,7 @@ class TestKEqualsOne:
         rng = np.random.default_rng(10)
         scheme = GaussianMixtureScheme(seed=0)
         nodes = [
-            ClassifierNode(
-                i, rng.normal(size=2), scheme, k=1, quantization=QUANT, packed=True
-            )
+            ClassifierNode(i, rng.normal(size=2), scheme, k=1, quantization=QUANT)
             for i in range(2)
         ]
         for _ in range(6):

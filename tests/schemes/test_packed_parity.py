@@ -1,13 +1,14 @@
 """Packed hot path vs object path: byte-identical classifications.
 
 The packed structure-of-arrays path (``docs/performance.md``) is a pure
-representation change: a node routed through ``partition_packed`` /
-``merge_set_packed`` must produce *bit-for-bit* the same classifications
-as the object-path conformance reference, because both feed identical
-float values through the same shared numeric kernels and replicate the
-same accumulation order.  These tests pin that contract per scheme, and
-pin the ``identity_below_k`` fast-path declaration against the scheme's
-actual ``partition``.
+representation change: a default node, routed through
+``partition_packed`` / ``merge_set_packed``, must produce *bit-for-bit*
+the same classifications as the object-path conformance reference (a
+``validate=True`` node), because both feed identical float values through
+the same shared numeric kernels and replicate the same accumulation
+order.  These tests pin that contract per scheme, and pin the
+``identity_below_k`` fast-path declaration against the scheme's actual
+``partition``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import numpy as np
 import pytest
 
 from repro.core.collection import Collection
-from repro.core.node import ClassifierNode, packed_default
+from repro.core.fingerprint import MergeCache
+from repro.core.node import ClassifierNode
 from repro.core.scheme import validate_partition
 from repro.core.weights import Quantization
+from repro.obs.events import RingBufferSink
 from repro.schemes.centroid import CentroidScheme
 from repro.schemes.diagonal import DiagonalGaussianScheme
 from repro.schemes.gaussian import GaussianSummary
@@ -62,8 +65,12 @@ def _classification_bytes(node: ClassifierNode) -> list[tuple[int, bytes]]:
     ]
 
 
-def _ping_pong(name: str, packed: bool, rounds: int = 8, k: int = 3):
-    """A deterministic two-node gossip; returns per-round classifications."""
+def _ping_pong(name: str, validate: bool, rounds: int = 8, k: int = 3):
+    """A deterministic two-node gossip; returns per-round classifications.
+
+    ``validate=False`` gives default (packed-path) nodes; ``validate=True``
+    forces the object path.
+    """
     rng = np.random.default_rng(42)
     scheme = _make_scheme(name)
     nodes = [
@@ -73,8 +80,7 @@ def _ping_pong(name: str, packed: bool, rounds: int = 8, k: int = 3):
             scheme,
             k=k,
             quantization=QUANT,
-            validate=True,
-            packed=packed,
+            validate=validate,
         )
         for i in range(2)
     ]
@@ -93,31 +99,147 @@ def _ping_pong(name: str, packed: bool, rounds: int = 8, k: int = 3):
 class TestPackedObjectParity:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_ping_pong_classifications_byte_identical(self, name):
-        packed_history, packed_nodes = _ping_pong(name, packed=True)
-        object_history, object_nodes = _ping_pong(name, packed=False)
+        packed_history, packed_nodes = _ping_pong(name, validate=False)
+        object_history, object_nodes = _ping_pong(name, validate=True)
         assert packed_history == object_history
-        # The representation flag is the only difference between the runs.
-        assert all(node.packed for node in packed_nodes)
-        assert not any(node.packed for node in object_nodes)
+        # The receive path is the only difference between the runs.
+        assert all(node.native for node in packed_nodes)
+        assert not any(node.native for node in object_nodes)
+        assert all(node._packed is None for node in object_nodes)
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_stats_counters_identical(self, name):
-        _, packed_nodes = _ping_pong(name, packed=True)
-        _, object_nodes = _ping_pong(name, packed=False)
+        _, packed_nodes = _ping_pong(name, validate=False)
+        _, object_nodes = _ping_pong(name, validate=True)
         for packed_node, object_node in zip(packed_nodes, object_nodes):
             assert packed_node.stats.as_dict() == object_node.stats.as_dict()
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_packed_state_mirrors_collections(self, name):
-        """After arbitrary receive/split traffic the cached PackedState
-        must equal a fresh packing of the collection list."""
-        _, nodes = _ping_pong(name, packed=True)
+        """After arbitrary receive/split traffic the authoritative
+        PackedState must equal a fresh packing of the collection list."""
+        _, nodes = _ping_pong(name, validate=False)
         for node in nodes:
-            fresh = node._pack(node._collections)
+            fresh = node._pack(node.classification.collections)
             assert np.array_equal(fresh.quanta, node._packed.quanta)
             assert set(fresh.columns) == set(node._packed.columns)
             for key, column in fresh.columns.items():
                 assert column.tobytes() == node._packed.columns[key].tobytes()
+
+
+def _event_log(sink: RingBufferSink) -> list:
+    return [
+        (event.kind, event.node, event.items, event.extra)
+        for event in sink.events
+        if event.kind in ("split", "merge", "fastpath", "cache")
+    ]
+
+
+class TestListRoute:
+    """A packed node handed plain ``list[Collection]`` packs it on entry.
+
+    Decoded wire frames and mixed batches arrive as collection lists; the
+    packed node must consume them through ``receive_packed`` (never the
+    object pipeline) and still end byte-identical to an object-path node
+    fed the same lists: state bytes, counters, and emitted events.
+    """
+
+    @staticmethod
+    def _targets(scheme, validate: bool, center, quant):
+        """A node plus a twin (ids 0 and 9) sharing one cache and sink.
+
+        The twin receives every list right after the node, so each full
+        solve of the node is replayed as a memo hit by the twin.
+        """
+        sink = RingBufferSink()
+        cache = MergeCache()
+        nodes = [
+            ClassifierNode(
+                node_id,
+                center,
+                scheme,
+                k=2,
+                quantization=quant,
+                validate=validate,
+                event_sink=sink,
+                merge_cache=cache,
+            )
+            for node_id in (0, 9)
+        ]
+        return nodes, sink
+
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_list_input_matches_object_path(self, name):
+        quant = Quantization(2**20)
+        if name == "histogram":
+            centers = [-3.0, 4.0]
+        else:
+            centers = [np.array([-3.0, 1.0]), np.array([4.0, 2.0])]
+        # Two exact centers (certified no-ops once converged), then from
+        # step 6 a noisy copy of each (full partition-and-merge solves).
+        rng = np.random.default_rng(17)
+        inputs = centers + [
+            center + rng.normal(scale=0.5, size=np.shape(center)) for center in centers
+        ]
+        source_scheme = _make_scheme(name)
+        sources = [
+            ClassifierNode(
+                i + 1,
+                inputs[i],
+                source_scheme,
+                k=2,
+                quantization=quant,
+                validate=True,
+                merge_cache=MergeCache(),
+            )
+            for i in range(4)
+        ]
+        packed_scheme = _make_scheme(name)
+
+        def object_pipeline(*args, **kwargs):
+            raise AssertionError("packed node ran the object pipeline")
+
+        packed_scheme.partition = object_pipeline
+        packed_scheme.merge_set = object_pipeline
+        packed, packed_sink = self._targets(packed_scheme, False, centers[0], quant)
+        reference, reference_sink = self._targets(_make_scheme(name), True, centers[0], quant)
+        assert all(node.native for node in packed)
+        assert not any(node.native for node in reference)
+        for step in range(12):
+            active = sources[:2] if step < 6 else sources
+            for index, source in enumerate(active):
+                payload = source.make_message()
+                if not payload:
+                    continue
+                if step % 2:
+                    # Drop the digest stamps: the packed node hashes rows.
+                    payload = [Collection(summary=c.summary, quanta=c.quanta) for c in payload]
+                for target in packed + reference:
+                    target.receive(list(payload))
+                # receive_packed leaves the collection list unbuilt (a lazy
+                # cache); the object pipeline would have rebuilt it.
+                assert all(node._collections is None for node in packed)
+                active[(index + 1) % len(active)].receive(payload)
+            sent = [
+                (packed_node.make_message(), object_node.make_message())
+                for packed_node, object_node in zip(packed, reference)
+            ]
+            for from_packed, from_object in sent:
+                assert [(c.quanta, _summary_bytes(c.summary)) for c in from_packed] == [
+                    (c.quanta, _summary_bytes(c.summary)) for c in from_object
+                ]
+            if sent[0][1]:
+                sources[step % len(sources)].receive(sent[0][1])
+        for packed_node, object_node in zip(packed, reference):
+            assert packed_node._packed is not None and object_node._packed is None
+            assert _classification_bytes(packed_node) == _classification_bytes(object_node)
+            assert packed_node.stats.as_dict() == object_node.stats.as_dict()
+        assert _event_log(packed_sink) == _event_log(reference_sink)
+        # Every receive route was exercised: fast path, certified no-op,
+        # full solve (cache miss), and the twin's memo replays.
+        first, twin = (node.stats for node in packed)
+        assert first.fastpath_hits and first.cache_noop_hits and first.cache_misses
+        assert twin.cache_memo_hits > 0
 
 
 class TestIdentityBelowK:
@@ -150,7 +272,6 @@ class TestIdentityBelowK:
             k=4,
             quantization=QUANT,
             validate=True,  # validate_partition runs on the identity groups
-            packed=True,
         )
         incoming = [
             Collection(summary=scheme.val_to_summary(_make_value(name, rng)), quanta=8)
@@ -177,7 +298,6 @@ class TestIdentityBelowK:
             k=4,
             quantization=QUANT,
             validate=True,
-            packed=True,
         )
         node.receive(
             [Collection(summary=scheme.val_to_summary(_make_value(name, rng)), quanta=1)]
@@ -201,24 +321,12 @@ class TestIdentityBelowK:
 
 
 class TestPackedDefault:
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PACKED", raising=False)
-        assert packed_default() is True
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        assert packed_default() is False
-        monkeypatch.setenv("REPRO_PACKED", "off")
-        assert packed_default() is False
-        monkeypatch.setenv("REPRO_PACKED", "1")
-        assert packed_default() is True
-
     def test_unsupported_scheme_falls_back(self):
         class ObjectOnly(CentroidScheme):
             supports_packed = False
 
-        node = ClassifierNode(
-            0, np.zeros(2), ObjectOnly(), k=2, quantization=QUANT, packed=True
-        )
-        assert not node.packed
+        node = ClassifierNode(0, np.zeros(2), ObjectOnly(), k=2, quantization=QUANT)
+        assert not node.native
         assert node._packed is None
         node.receive([Collection(summary=np.ones(2), quanta=8)])
         assert len(node.classification) == 2

@@ -192,64 +192,6 @@ class PackedState:
     def __len__(self) -> int:
         return int(self.quanta.shape[0])
 
-    @staticmethod
-    def concat_many(states: Sequence["PackedState"]) -> "PackedState":
-        """Row-wise concatenation of several packed states, in order.
-
-        The arena engine pools one receiver's local rows with every
-        incoming payload slab in a single allocation; pairwise
-        concatenation would copy the growing prefix once per payload.
-        """
-        if not states:
-            raise ValueError("cannot concatenate zero packed states")
-        names = states[0].columns.keys()
-        for state in states[1:]:
-            if state.columns.keys() != names:
-                raise ValueError(
-                    f"packed column mismatch: {sorted(names)} vs {sorted(state.columns)}"
-                )
-        digests: Optional[Tuple[bytes, ...]] = None
-        if all(state.row_digests is not None for state in states):
-            digests = tuple(
-                digest for state in states for digest in state.row_digests  # type: ignore[union-attr]
-            )
-        return PackedState(
-            quanta=np.concatenate([state.quanta for state in states]),
-            columns={
-                name: np.concatenate([state.columns[name] for state in states])
-                for name in names
-            },
-            row_digests=digests,
-        )
-
-    def view_rows(self, start: int, stop: int) -> "PackedState":
-        """A zero-copy view of the row range ``[start, stop)``.
-
-        The returned state shares memory with this one — mutating either
-        is visible in both.  Arena shards use this to hand contiguous
-        node ranges to workers without duplicating the arena.
-        """
-        digests = None
-        if self.row_digests is not None:
-            digests = self.row_digests[start:stop]
-        return PackedState(
-            quanta=self.quanta[start:stop],
-            columns={name: column[start:stop] for name, column in self.columns.items()},
-            row_digests=digests,
-        )
-
-    def take(self, indices: Sequence[int] | np.ndarray) -> "PackedState":
-        """A new packed state holding only the given rows, in order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        digests = None
-        if self.row_digests is not None:
-            digests = tuple(self.row_digests[int(i)] for i in idx)
-        return PackedState(
-            quanta=self.quanta[idx],
-            columns={name: column[idx] for name, column in self.columns.items()},
-            row_digests=digests,
-        )
-
     def weights(self) -> np.ndarray:
         """Quanta as float weights (the scale partition math runs in)."""
         return self.quanta.astype(float)

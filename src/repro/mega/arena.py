@@ -101,27 +101,8 @@ class SummaryInterner:
 
     def intern_row(self, columns: Dict[str, np.ndarray], index: int) -> int:
         """Intern the single packed row ``index`` of ``columns``."""
-        key = b"".join(
-            np.ascontiguousarray(columns[name][index], dtype=float).tobytes()
-            for name in self.names
-        )
-        found = self._ids.get(key)
-        if found is None:
-            found = len(self._keys)
-            self._ids[key] = found
-            self._keys.append(key)
-            self._digests.append(None)
-            self._summaries.append(None)
-        return found
-
-    def remember_summary(self, summary_id: int, summary: Any) -> None:
-        """Seed the summary-object cache for an id the caller just built.
-
-        Saves the decode round-trip when the merging code already holds
-        the object; treat the stored summary as immutable.
-        """
-        if self._summaries[summary_id] is None:
-            self._summaries[summary_id] = summary
+        row = {name: columns[name][index : index + 1] for name in self.names}
+        return int(self.intern_rows(row, 1)[0])
 
     # ------------------------------------------------------------------
     # Decoding

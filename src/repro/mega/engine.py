@@ -167,22 +167,31 @@ class _Outcome:
 
     All arrays are owned copies (never views into the arena), so one
     outcome can be applied to every receiver posing the same problem and
-    survive in the memo across rounds while arena rows churn.
+    survive in the memo across rounds while arena rows churn.  A full
+    solve's outcome is created empty when its problem is first seen and
+    filled in by :meth:`ReceiveSolver._solve_round` before the scatter.
     """
 
     __slots__ = ("ids", "quanta", "columns", "merges")
 
     def __init__(
-        self,
-        ids: np.ndarray,
-        quanta: np.ndarray,
-        columns: Dict[str, np.ndarray],
-        merges: int,
+        self, ids: Any = None, quanta: Any = None, columns: Any = None, merges: int = 0
     ) -> None:
         self.ids = ids
         self.quanta = quanta
         self.columns = columns
         self.merges = merges
+
+
+def _ragged(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Segment and within-segment index of each element of a ragged layout.
+
+    For segments of ``lengths`` laid end to end, element ``e`` belongs to
+    segment ``seg[e]`` at offset ``within[e]`` inside it.
+    """
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    within = np.arange(len(seg)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return seg, within
 
 
 _MISSING = object()
@@ -237,17 +246,21 @@ class ReceiveSolver:
 
     Shared by :class:`ArenaEngine` and the shard workers: both hand it
     per-destination payload slabs (ids/quanta/columns sorted by receiver)
-    and it updates the arena in place.  Three layers, cheapest first:
+    and it updates the arena in place.  A round runs in phases:
 
-    - a round-local and a bounded cross-round memo keyed by the exact
-      ``(local state, incoming)`` bytes — byte-identical replay because
-      the pipeline is a deterministic pure function of that key (the
-      same argument as the node-level merge cache, whose key this
-      mirrors);
-    - the structural shortcuts of the node pipeline (identity fast path
-      below ``k``; certified no-op receives via the run's
-      :class:`~repro.core.fingerprint.IdentityCertificate` machinery);
-    - the real ``partition_packed`` / ``merge_groups_packed`` pipeline.
+    1. **Sweep** — certified no-ops of receivers sharing a local id
+       block with many others, as array operations (:meth:`_noop_sweep`).
+    2. **Distinct problems** — every other receive is keyed by its exact
+       ``(local state, incoming)`` bytes; a round memo and a bounded LRU
+       memo replay repeated keys (byte-identical: the pipeline is a pure
+       function of the key).  A new key tries the identity fast path,
+       then the certified no-op, whose membership-first gate builds a
+       certificate only for a receive that could be one.
+    3. **Full solves** (:meth:`_solve_round`) — the remaining problems
+       are partitioned, all their multi-member groups merged in one
+       ``merge_groups_columns`` call and interned in one ``intern_rows``.
+    4. **Scatter** — each receiver's outcome is written to its arena
+       row; receivers posing the same problem share one outcome.
     """
 
     def __init__(
@@ -296,6 +309,8 @@ class ReceiveSolver:
         if self.merge_cache is not None and len(dests) >= 32:
             handled = self._noop_sweep(dests, bounds, ids, quanta)
         round_memo: Dict[Any, _Outcome] = {}
+        scatter: List[Tuple[int, _Outcome]] = []
+        solves: List[Tuple[_Outcome, int]] = []  # (outcome to fill, position)
         for position in range(len(dests)):
             if handled is not None and handled[position]:
                 continue
@@ -320,9 +335,8 @@ class ReceiveSolver:
                 if outcome is not None:
                     memo.move_to_end(key)
                     stats.memo_lru_hits += 1
-                    round_memo[key] = outcome
                 else:
-                    outcome = self._solve(
+                    outcome = self._shortcut(
                         receiver,
                         count,
                         local_ids,
@@ -330,10 +344,20 @@ class ReceiveSolver:
                         ids[start:stop],
                         quanta[start:stop],
                         {name: rows[start:stop] for name, rows in columns.items()},
-                        key,
                     )
-                    round_memo[key] = outcome
+                    if outcome is None:
+                        outcome = _Outcome()
+                        solves.append((outcome, position))
+                        if self.memo_size > 0:
+                            if len(memo) >= self.memo_size:
+                                memo.popitem(last=False)
+                            memo[key] = outcome
+                round_memo[key] = outcome
             stats.receivers += 1
+            scatter.append((receiver, outcome))
+        if solves:
+            self._solve_round(solves, dests, bounds, ids, quanta, columns)
+        for receiver, outcome in scatter:
             stats.merges += outcome.merges
             width = len(outcome.ids)
             a_counts[receiver] = width
@@ -342,6 +366,97 @@ class ReceiveSolver:
             a_quanta[receiver, width:] = 0
             for name, column in a_columns.items():
                 column[receiver, :width] = outcome.columns[name]
+
+    def _solve_round(
+        self,
+        solves: List[Tuple[_Outcome, int]],
+        dests: np.ndarray,
+        bounds: np.ndarray,
+        ids: np.ndarray,
+        quanta: np.ndarray,
+        columns: Dict[str, np.ndarray],
+    ) -> None:
+        """Full-solve the round's new problems and fill their outcomes.
+
+        Every problem's pooled rows (its receiver's local rows, then its
+        payload rows) are gathered into one round buffer, and each
+        problem is partitioned on its slice.  All multi-member groups of
+        the round then go through one ``merge_groups_columns`` call over
+        that buffer: the merge kernels bucket groups by size and reduce
+        each group along its own lanes, so a group's merged row does not
+        depend on what else shares the batch.  The merged rows are
+        interned in one ``intern_rows`` call, in (problem, group) order —
+        the ids the per-problem sequence would assign.
+        """
+        arena = self.arena
+        scheme = self.scheme
+        positions = np.fromiter((position for _, position in solves), np.intp, len(solves))
+        receivers = dests[positions]
+        counts = arena.counts[receivers]
+        starts = bounds[positions]
+        widths = bounds[positions + 1] - starts
+        sizes = counts + widths
+        offsets = np.cumsum(sizes) - sizes
+        local_seg, slots = _ragged(counts)
+        incoming_seg, incoming_within = _ragged(widths)
+        local_at = offsets[local_seg] + slots
+        incoming_at = offsets[incoming_seg] + counts[incoming_seg] + incoming_within
+        local_from = receivers[local_seg]
+        incoming_from = starts[incoming_seg] + incoming_within
+        total = int(sizes.sum())
+
+        def pool(arena_rows: np.ndarray, payload_rows: np.ndarray) -> np.ndarray:
+            out = np.empty((total,) + payload_rows.shape[1:], dtype=payload_rows.dtype)
+            out[local_at] = arena_rows[local_from, slots]
+            out[incoming_at] = payload_rows[incoming_from]
+            return out
+
+        pooled_ids = pool(arena.ids, ids)
+        pooled = PackedState(
+            quanta=pool(arena.quanta, quanta),
+            columns={name: pool(arena.columns[name], rows) for name, rows in columns.items()},
+        )
+        k = self.k
+        quantization = self.quantization
+        layouts: List[Tuple[List[int], List[int]]] = []
+        merge_groups: List[List[int]] = []
+        for (outcome, _), lo, size in zip(solves, offsets.tolist(), sizes.tolist()):
+            hi = lo + size
+            problem = PackedState(
+                quanta=pooled.quanta[lo:hi],
+                columns={name: column[lo:hi] for name, column in pooled.columns.items()},
+            )
+            groups = scheme.partition_packed(problem, k, quantization)
+            # Singleton groups keep their pooled row; the rest are merged.
+            multi = [index for index, group in enumerate(groups) if len(group) > 1]
+            merge_groups.extend([lo + member for member in groups[index]] for index in multi)
+            outcome.merges = len(multi)
+            layouts.append(([lo + group[0] for group in groups], multi))
+        self.stats.full_solves += len(solves)
+        if merge_groups:
+            merged = scheme.merge_groups_columns(pooled, merge_groups)
+            members = np.fromiter(
+                (member for group in merge_groups for member in group), dtype=np.intp
+            )
+            group_sizes = np.fromiter(
+                (len(group) for group in merge_groups), np.intp, len(merge_groups)
+            )
+            group_quanta = np.add.reduceat(
+                pooled.quanta[members], np.cumsum(group_sizes) - group_sizes
+            )
+            new_ids = arena.interner.intern_rows(merged, len(merge_groups))
+        row = 0
+        for (outcome, _), (first, multi) in zip(solves, layouts):
+            outcome.ids = pooled_ids[first]
+            outcome.quanta = pooled.quanta[first]
+            outcome.columns = {name: column[first] for name, column in pooled.columns.items()}
+            if multi:
+                stop = row + len(multi)
+                outcome.ids[multi] = new_ids[row:stop]
+                outcome.quanta[multi] = group_quanta[row:stop]
+                for name, column in outcome.columns.items():
+                    column[multi] = merged[name][row:stop]
+                row = stop
 
     # ------------------------------------------------------------------
     # Batched certified no-ops
@@ -400,26 +515,13 @@ class ReceiveSolver:
                 continue  # scalar path amortises better on small groups
             sub = np.flatnonzero(members_mask)
             block_ids = local_ids[sub[0]]
-            plan = self._noop_plan_for(k, block_ids)
-            if plan is None or not plan.style_em:
-                continue
-            tight = plan.tight_thresholds
-            if tight is None:
-                thresholds = plan.certificate.margin_threshold_matrix()
-                if thresholds is None:
-                    continue
-                tight = thresholds.copy()
-                finite = np.isfinite(tight)
-                tight[finite] -= 1e-12 * (1.0 + np.abs(tight[finite]))
-                plan.tight_thresholds = tight
             sub_pos = pos_idx[sub]
             starts = bounds[sub_pos]
             w = widths[sub_pos]
             r_count = len(sub)
-            total_rows = int(w.sum())
             # Ragged gather: payload row ranges per receiver, flattened.
-            seg = np.repeat(np.arange(r_count), w)
-            rows = np.repeat(starts - (np.cumsum(w) - w), w) + np.arange(total_rows)
+            seg, within = _ragged(w)
+            rows = starts[seg] + within
             in_ids = ids[rows]
             in_quanta = quanta[rows]
             # Map incoming ids to local positions via the sorted block.
@@ -434,6 +536,20 @@ class ReceiveSolver:
             np.logical_and.at(ok, seg, row_ok)
             if not ok.any():
                 continue
+            # Membership and minimums pass somewhere: only now is the
+            # block's certificate worth building.
+            plan = self._noop_plan_for(k, block_ids)
+            if plan is None or not plan.style_em:
+                continue
+            tight = plan.tight_thresholds
+            if tight is None:
+                thresholds = plan.certificate.margin_threshold_matrix()
+                if thresholds is None:
+                    continue
+                tight = thresholds.copy()
+                finite = np.isfinite(tight)
+                tight[finite] -= 1e-12 * (1.0 + np.abs(tight[finite]))
+                plan.tight_thresholds = tight
             # Pooled totals and per-position incoming counts.
             totals = sub_quanta.copy()
             hits = np.zeros((r_count, k), dtype=np.int64)
@@ -505,7 +621,7 @@ class ReceiveSolver:
     # ------------------------------------------------------------------
     # One distinct receive problem
     # ------------------------------------------------------------------
-    def _solve(
+    def _shortcut(
         self,
         receiver: int,
         count: int,
@@ -514,83 +630,31 @@ class ReceiveSolver:
         incoming_ids: np.ndarray,
         incoming_quanta: np.ndarray,
         incoming_columns: Dict[str, np.ndarray],
-        key: Any,
-    ) -> _Outcome:
-        arena = self.arena
-        scheme = self.scheme
-        pooled_ids = np.concatenate([local_ids, incoming_ids])
-        pooled_quanta = np.concatenate([local_quanta, incoming_quanta])
-        local_columns = {
-            name: column[receiver, :count] for name, column in arena.columns.items()
-        }
+    ) -> Optional[_Outcome]:
+        """The identity fast path or a certified no-op; None means full solve."""
         # Identity fast path: mirrors ClassifierNode._try_fastpath (the
         # pooled set always has >= 2 members on a receive).
-        size = len(pooled_ids)
-        if (
-            size <= self.k
-            and scheme.identity_below_k
-            and not self.quantization.is_minimum(int(pooled_quanta.min()))
-        ):
-            self.stats.fastpath_hits += 1
-            pooled_columns = {
-                name: np.concatenate([local_columns[name], incoming_columns[name]])
-                for name in local_columns
-            }
-            return _Outcome(pooled_ids, pooled_quanta, pooled_columns, 0)
+        if count + len(incoming_ids) <= self.k and self.scheme.identity_below_k:
+            pooled_quanta = np.concatenate([local_quanta, incoming_quanta])
+            if not self.quantization.is_minimum(int(pooled_quanta.min())):
+                self.stats.fastpath_hits += 1
+                return _Outcome(
+                    np.concatenate([local_ids, incoming_ids]),
+                    pooled_quanta,
+                    {
+                        name: np.concatenate([column[receiver, :count], incoming_columns[name]])
+                        for name, column in self.arena.columns.items()
+                    },
+                    0,
+                )
         if self.merge_cache is not None:
             outcome = self._try_certified_noop(
-                count, local_ids, local_quanta, incoming_ids, incoming_quanta, local_columns
+                receiver, count, local_ids, local_quanta, incoming_ids, incoming_quanta
             )
             if outcome is not None:
                 self.stats.noop_hits += 1
                 return outcome
-        pooled_columns = {
-            name: np.concatenate([local_columns[name], incoming_columns[name]])
-            for name in local_columns
-        }
-        packed = PackedState(quanta=pooled_quanta, columns=pooled_columns)
-        groups = scheme.partition_packed(packed, self.k, self.quantization)
-        self.stats.full_solves += 1
-        width = len(groups)
-        out_ids = np.empty(width, dtype=np.int64)
-        out_quanta = np.empty(width, dtype=np.int64)
-        out_columns = {
-            name: np.empty((width,) + column.shape[1:], dtype=float)
-            for name, column in pooled_columns.items()
-        }
-        multi: List[Tuple[int, Sequence[int]]] = []
-        for group_index, group in enumerate(groups):
-            if len(group) == 1:
-                member = group[0]
-                out_ids[group_index] = pooled_ids[member]
-                out_quanta[group_index] = pooled_quanta[member]
-                for name in out_columns:
-                    out_columns[name][group_index] = pooled_columns[name][member]
-            else:
-                multi.append((group_index, group))
-        if multi:
-            interner = arena.interner
-            # merge_groups_columns is contractually byte-identical to
-            # packing merge_groups_packed's summaries; the summary object
-            # behind each new id materialises lazily in the interner when
-            # a certificate needs it.
-            packed_rows = scheme.merge_groups_columns(
-                packed, [group for _, group in multi]
-            )
-            for row, (group_index, group) in enumerate(multi):
-                for name in out_columns:
-                    out_columns[name][group_index] = packed_rows[name][row]
-                out_quanta[group_index] = int(
-                    pooled_quanta[np.asarray(group, dtype=np.intp)].sum()
-                )
-                out_ids[group_index] = interner.intern_row(packed_rows, row)
-        outcome = _Outcome(out_ids, out_quanta, out_columns, len(multi))
-        if self.memo_size > 0:
-            memo = self._memo
-            if len(memo) >= self.memo_size:
-                memo.popitem(last=False)
-            memo[key] = outcome
-        return outcome
+        return None
 
     def _noop_plan_for(
         self, count: int, local_ids: np.ndarray
@@ -615,10 +679,8 @@ class ReceiveSolver:
         scheme = self.scheme
         if count > self.k:
             return None
-        id_list = [int(summary_id) for summary_id in local_ids]
-        local_index: Dict[int, int] = {}
-        for position, summary_id in enumerate(id_list):
-            local_index[summary_id] = position
+        id_list = local_ids.tolist()
+        local_index = {summary_id: position for position, summary_id in enumerate(id_list)}
         if len(local_index) != count:
             return None
         style = scheme.identity_partition_style
@@ -648,30 +710,40 @@ class ReceiveSolver:
 
     def _try_certified_noop(
         self,
+        receiver: int,
         count: int,
         local_ids: np.ndarray,
         local_quanta: np.ndarray,
         incoming_ids: np.ndarray,
         incoming_quanta: np.ndarray,
-        local_columns: Dict[str, np.ndarray],
     ) -> Optional[_Outcome]:
-        """Mirror of ClassifierNode._try_certified_noop on interned ids.
+        """Mirror of ClassifierNode._try_certified_noop_packed on interned ids.
 
         Within one interner an id bijects with a summary byte pattern and
         hence with its content digest, so "incoming digest matches a
         local collection" becomes an integer set lookup; the certificate
         itself (seed order, margins) is shared with the per-node world
         via the run's :class:`~repro.core.fingerprint.MergeCache`.  The
-        id-dependent setup lives on a per-block :class:`_NoopPlan`; this
-        path only does the quanta-dependent arithmetic.
+        id-dependent setup lives on a per-block :class:`_NoopPlan`.
+
+        Checks run in the node's order: without a cached plan, membership,
+        pooled size and minimum weights are tested on plain ints, and the
+        plan (digests, summaries, certificate) is built only for a receive
+        that passes them — on continuous data almost none does.
         """
-        plan = self._noop_plan_for(count, local_ids)
+        plan: Any = self._noop_plans.get(local_ids.tobytes(), _MISSING)
         if plan is None:
             return None
-        local_index = plan.local_index
         incoming_list = incoming_ids.tolist()
         if count + len(incoming_list) <= self.k:
             return None
+        if plan is _MISSING:
+            local_index = {
+                summary_id: position
+                for position, summary_id in enumerate(local_ids.tolist())
+            }
+        else:
+            local_index = plan.local_index
         is_minimum = self.quantization.is_minimum
         totals = local_quanta.tolist()
         best_quanta = -1
@@ -694,6 +766,10 @@ class ReceiveSolver:
             if incoming_q > best_quanta:
                 best_quanta = incoming_q
                 best_position = position
+        if plan is _MISSING:
+            plan = self._noop_plan_for(count, local_ids)
+            if plan is None:
+                return None
         if plan.style_em:
             certificate = plan.certificate
             cert_of_pos = plan.cert_of_pos
@@ -722,7 +798,7 @@ class ReceiveSolver:
             entry = [
                 order,
                 local_ids[take],
-                {name: column[take] for name, column in local_columns.items()},
+                {name: column[receiver, take] for name, column in self.arena.columns.items()},
             ]
             plan.orders[order_key] = entry
         elif entry is None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import fingerprint
+from repro.data.generators import fence_fire_values
 from repro.mega import ArenaEngine
 from repro.network.simulator import RoundRobinSelector
 from repro.network.topology import TOPOLOGY_BUILDERS
@@ -110,6 +112,36 @@ def test_engine_matches_kernel_without_merge_cache():
         for node in nodes
     ]
     assert _engine_states(engine) == expected
+
+
+def test_engines_build_the_same_certificates_on_continuous_data(monkeypatch):
+    """Certificates are built only for receives that could be no-ops.
+
+    On the paper's continuous data almost no receive keeps every incoming
+    collection at a local location, so the kernel builds next to no
+    identity certificates; the arena must build exactly as many, not one
+    per full solve.
+    """
+    values, _ = fence_fire_values(200, 5)
+    built = []
+    original = fingerprint._build_certificate
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fingerprint, "_build_certificate", counting)
+    graph = TOPOLOGY_BUILDERS["complete"](len(values))
+    kernel, _ = build_classification_network(
+        values, GaussianMixtureScheme(seed=5), 7, graph=graph, seed=5, merge_cache=True
+    )
+    kernel.run(10)
+    kernel_builds = len(built)
+    built.clear()
+    engine = ArenaEngine(values, GaussianMixtureScheme(seed=5), 7, seed=5, use_cache=True)
+    engine.run(10)
+    assert engine.stats.full_solves > 500
+    assert len(built) == kernel_builds
 
 
 def test_quanta_conserved_across_rounds():

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.collection import Collection
 from repro.core.packed import PackedState
@@ -178,6 +180,73 @@ class TestPoolMomentsGroups:
             assert b_means[gi].tobytes() == ref_mean.tobytes()
             assert b_covs[gi].tobytes() == ref_cov.tobytes()
 
+
+def _moment_problem(rng: np.random.Generator, d: int, sizes, identical):
+    """One problem's rows and a partition of them into groups of ``sizes``.
+
+    Groups flagged in ``identical`` get byte-equal members, which takes
+    the kernel's identical-components short-circuit.
+    """
+    n = sum(sizes)
+    means = rng.normal(size=(n, d)) * 3
+    factors = rng.normal(size=(n, d, d))
+    covs = factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    quanta = rng.integers(2, 1 << 40, size=n, dtype=np.int64)
+    order = rng.permutation(n).tolist()
+    groups, start = [], 0
+    for size, same in zip(sizes, identical):
+        group = order[start : start + size]
+        start += size
+        if same:
+            means[group] = means[group[0]]
+            covs[group] = covs[group[0]]
+        groups.append(group)
+    return quanta, means, covs, groups
+
+
+class TestPoolMomentsGroupsBatching:
+    """A problem's groups pool to the same bytes inside a bigger batch.
+
+    The arena merges every problem of a round in one call, so a group's
+    merged row must not depend on which other problems share the call.
+    Sizes straddle numpy's pairwise-summation block (8 lanes).
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2]),
+        problems=st.lists(
+            st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=1, max_size=4),
+            min_size=2,
+            max_size=5,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_concatenated_batch_matches_each_problem_alone(self, d, problems, seed):
+        rng = np.random.default_rng(seed)
+        built = [
+            _moment_problem(rng, d, [size for size, _ in spec], [same for _, same in spec])
+            for spec in problems
+        ]
+        offsets = np.cumsum([0] + [len(quanta) for quanta, _, _, _ in built])
+        batch_groups = [
+            [int(offset) + member for member in group]
+            for offset, (_, _, _, groups) in zip(offsets, built)
+            for group in groups
+        ]
+        batch_means, batch_covs = pool_moments_groups(
+            np.concatenate([quanta for quanta, _, _, _ in built]),
+            np.concatenate([means for _, means, _, _ in built]),
+            np.concatenate([covs for _, _, covs, _ in built]),
+            batch_groups,
+        )
+        row = 0
+        for quanta, means, covs, groups in built:
+            alone_means, alone_covs = pool_moments_groups(quanta, means, covs, groups)
+            stop = row + len(groups)
+            assert batch_means[row:stop].tobytes() == alone_means.tobytes()
+            assert batch_covs[row:stop].tobytes() == alone_covs.tobytes()
+            row = stop
 
 class TestGreedyPartition:
     def _collections(self, rng, n, scheme, minimums=0):
